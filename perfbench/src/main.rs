@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload notebook_storm --seed 1 --seconds 10 --trace 0
+//!     --workload notebook_storm --seed 1 --seconds 20 --trace 0
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics through the program's
