@@ -2,7 +2,7 @@
 //!
 //! §V: "Encryption is applied for all IAM workflows." Every credential in
 //! the co-design is really signed and verified, so primitive cost bounds
-//! the control plane's capacity. Parallel scaling uses crossbeam scoped
+//! the control plane's capacity. Parallel scaling uses std scoped
 //! threads (per the HPC-parallel guides, results are merged per-thread —
 //! no shared mutable state).
 
@@ -24,17 +24,16 @@ fn print_report() {
     for threads in [1usize, 2, 4, 8] {
         let start = std::time::Instant::now();
         let chunk = msgs.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for part in msgs.chunks(chunk) {
                 let sk = &sk;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for m in part {
                         black_box(sk.sign(m));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let ms = start.elapsed().as_secs_f64() * 1e3;
         if threads == 1 {
             base_ms = ms;

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_clock::{IdGen, SimClock};
-use dri_crypto::ed25519::{PreparedVerifyingKey, SigningKey};
+use dri_crypto::ed25519::{SigningKey, VerifyingKey};
 use dri_crypto::json::Value;
 use dri_crypto::jwt::{self, Claims, Signer, Validation, Verifier};
 use dri_federation::assertion::{Assertion, AssertionError};
@@ -158,9 +158,8 @@ pub struct Jwks {
     pub issuer: String,
     /// Key-ring generation; bumped by every rotation or prune.
     pub epoch: u64,
-    /// Keys are stored pre-decompressed: the curve point is recovered
-    /// once at publication instead of on every signature check.
-    keys: HashMap<String, PreparedVerifyingKey>,
+    /// Published verifying keys by `kid`.
+    keys: HashMap<String, VerifyingKey>,
     /// The issuer's shared verified-token cache, consulted on
     /// validation. Every service holding this snapshot reaches the same
     /// cache, so a token verified (or seeded at signing) anywhere in the
@@ -186,7 +185,7 @@ impl Jwks {
         };
         match &self.cache {
             Some(cache) => cache.validate(&kid, key, token, &validation),
-            None => jwt::verify(token, &Verifier::Ed25519Prepared(key), &validation),
+            None => jwt::verify(token, &Verifier::Ed25519(key), &validation),
         }
     }
 
@@ -298,7 +297,7 @@ impl IdentityBroker {
             keys: ring
                 .keys
                 .iter()
-                .map(|(kid, sk)| (kid.clone(), PreparedVerifyingKey::new(&sk.verifying_key())))
+                .map(|(kid, sk)| (kid.clone(), sk.verifying_key()))
                 .collect(),
             cache: Some(token_cache.clone()),
         };
@@ -375,7 +374,7 @@ impl IdentityBroker {
             keys: ring
                 .keys
                 .iter()
-                .map(|(kid, sk)| (kid.clone(), PreparedVerifyingKey::new(&sk.verifying_key())))
+                .map(|(kid, sk)| (kid.clone(), sk.verifying_key()))
                 .collect(),
             cache: Some(self.token_cache.clone()),
         });

@@ -28,7 +28,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dri_crypto::ed25519::PreparedVerifyingKey;
+use dri_crypto::ed25519::VerifyingKey;
 use dri_crypto::jwt::{self, Claims, JwtError, Validation, Verifier};
 use dri_crypto::sha2::sha256;
 use dri_sync::ShardMap;
@@ -153,16 +153,16 @@ impl TokenCache {
     ///
     /// Agreement contract: for any input, the result — `Ok` claims or
     /// `Err` kind — is identical to
-    /// `jwt::verify(token, &Verifier::Ed25519Prepared(key), validation)`.
+    /// `jwt::verify(token, &Verifier::Ed25519(key), validation)`.
     pub fn validate(
         &self,
         kid: &str,
-        key: &PreparedVerifyingKey,
+        key: &VerifyingKey,
         token: &str,
         validation: &Validation,
     ) -> Result<Claims, JwtError> {
         if !self.enabled() {
-            return jwt::verify(token, &Verifier::Ed25519Prepared(key), validation);
+            return jwt::verify(token, &Verifier::Ed25519(key), validation);
         }
         let cache_key = TokenCache::cache_key(kid, token);
         let epoch = self.epoch();
@@ -180,7 +180,7 @@ impl TokenCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         dri_trace::add_attr("cache.token", "miss");
-        let claims = jwt::verify(token, &Verifier::Ed25519Prepared(key), validation)?;
+        let claims = jwt::verify(token, &Verifier::Ed25519(key), validation)?;
         self.entries.insert(
             cache_key,
             CachedVerification {
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn miss_then_hit_returns_identical_claims() {
         let sk = SigningKey::from_seed(&[7u8; 32]);
-        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let pk = sk.verifying_key();
         let cache = TokenCache::new(4);
         let (token, claims) = signed(&sk, "k1", 1000, 600);
         let v = validation(1000);
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn hit_still_enforces_expiry() {
         let sk = SigningKey::from_seed(&[7u8; 32]);
-        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let pk = sk.verifying_key();
         let cache = TokenCache::new(4);
         let (token, _) = signed(&sk, "k1", 1000, 600);
         cache
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn epoch_bump_discards_entries() {
         let sk = SigningKey::from_seed(&[7u8; 32]);
-        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let pk = sk.verifying_key();
         let cache = TokenCache::new(4);
         let (token, _) = signed(&sk, "k1", 1000, 600);
         let v = validation(1000);
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn seeded_token_hits_on_first_validation() {
         let sk = SigningKey::from_seed(&[7u8; 32]);
-        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let pk = sk.verifying_key();
         let cache = TokenCache::new(4);
         let (token, claims) = signed(&sk, "k1", 1000, 600);
         cache.seed("k1", &token, &claims);
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn disabled_cache_neither_seeds_nor_hits() {
         let sk = SigningKey::from_seed(&[7u8; 32]);
-        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let pk = sk.verifying_key();
         let cache = TokenCache::new(4);
         cache.set_enabled(false);
         let (token, claims) = signed(&sk, "k1", 1000, 600);
@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn tampered_token_never_hits_the_verified_entry() {
         let sk = SigningKey::from_seed(&[7u8; 32]);
-        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let pk = sk.verifying_key();
         let cache = TokenCache::new(4);
         let (token, _) = signed(&sk, "k1", 1000, 600);
         let v = validation(1000);

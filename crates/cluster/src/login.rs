@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dri_clock::{IdGen, SimClock, SimRng};
-use dri_crypto::ed25519::{PreparedVerifyingKey, VerifyingKey};
+use dri_crypto::ed25519::VerifyingKey;
 use dri_sshca::cert::{CertError, SshCertificate};
 use dri_sync::{ShardMap, Snapshot};
 use parking_lot::Mutex;
@@ -79,14 +79,12 @@ struct AccountRecord {
 /// Account and session state is sharded by key hash
 /// ([`dri_sync::ShardMap`]) so a login storm hitting many accounts
 /// takes many different locks; the trusted CA key is a
-/// [`dri_sync::Snapshot`] read lock-free on every certificate check,
-/// stored pre-decompressed so the curve-point recovery is paid once at
-/// trust time rather than on every login.
+/// [`dri_sync::Snapshot`] read lock-free on every certificate check.
 pub struct LoginNode {
     /// Fabric host id (`mdc/login01`).
     pub host_id: String,
     clock: SimClock,
-    ca_key: Snapshot<PreparedVerifyingKey>,
+    ca_key: Snapshot<VerifyingKey>,
     accounts: ShardMap<AccountRecord>,
     sessions: ShardMap<ShellSession>,
     rng: Mutex<SimRng>,
@@ -120,7 +118,7 @@ impl LoginNode {
         LoginNode {
             host_id: host_id.into(),
             clock,
-            ca_key: Snapshot::new(PreparedVerifyingKey::new(&ca_key)),
+            ca_key: Snapshot::new(ca_key),
             accounts: ShardMap::new(shards),
             sessions: ShardMap::new(shards),
             rng: Mutex::new(rng),
@@ -132,7 +130,7 @@ impl LoginNode {
 
     /// Update the trusted user-CA key.
     pub fn trust_ca(&self, key: VerifyingKey) {
-        self.ca_key.store(PreparedVerifyingKey::new(&key));
+        self.ca_key.store(key);
     }
 
     /// Attach the shared fault-injection plane (chaos drills).
@@ -206,7 +204,7 @@ impl LoginNode {
         if self.draining() {
             return Err(LoginError::Draining);
         }
-        cert.verify_prepared(&self.ca_key.load(), self.clock.now_secs(), Some(account))
+        cert.verify(&self.ca_key.load(), self.clock.now_secs(), Some(account))
             .map_err(LoginError::Cert)?;
         let project = self
             .accounts

@@ -615,7 +615,7 @@ impl Infrastructure {
                 kind: UserKind::Admin {
                     username: label.to_string(),
                     password: password.to_string(),
-                    hw_key,
+                    hw_key: Box::new(hw_key),
                 },
                 subject: Some(format!("admin:{label}")),
                 ssh: None,

@@ -30,8 +30,9 @@ pub enum UserKind {
         username: String,
         /// Password.
         password: String,
-        /// The user-held hardware key.
-        hw_key: HardwareKey,
+        /// The user-held hardware key (boxed: it holds a signing key,
+        /// far larger than the other variants).
+        hw_key: Box<HardwareKey>,
     },
 }
 

@@ -382,6 +382,7 @@ impl SigningKey {
         let public_point = Point::base().mul_scalar(&a);
         let public = VerifyingKey {
             bytes: public_point.compress(),
+            point: Some(public_point),
         };
         SigningKey {
             seed: *seed,
@@ -435,84 +436,25 @@ impl std::fmt::Debug for SigningKey {
 }
 
 /// An Ed25519 verifying (public) key.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// The curve point A is decompressed once, when the key is built, so a
+/// verifier that checks many signatures under one key (JWKS keys, the SSH
+/// user-CA key, federation metadata keys) pays for it once. Equality,
+/// hashing and `Debug` are defined on the 32-byte encoding alone.
+#[derive(Clone)]
 pub struct VerifyingKey {
     bytes: [u8; 32],
-}
-
-impl VerifyingKey {
-    /// Wrap 32 public-key bytes (validated lazily at verify time).
-    pub fn from_bytes(bytes: [u8; 32]) -> VerifyingKey {
-        VerifyingKey { bytes }
-    }
-
-    /// The raw 32-byte encoding.
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.bytes
-    }
-
-    /// Verify `sig` over `msg` (RFC 8032 §5.1.7, cofactorless equation).
-    pub fn verify(&self, msg: &[u8], sig: &[u8; 64]) -> bool {
-        let mut r_bytes = [0u8; 32];
-        r_bytes.copy_from_slice(&sig[..32]);
-        let mut s_bytes = [0u8; 32];
-        s_bytes.copy_from_slice(&sig[32..]);
-
-        let s = match Scalar::from_canonical_bytes(&s_bytes) {
-            Some(s) => s,
-            None => return false,
-        };
-        let a = match Point::decompress(&self.bytes) {
-            Some(a) => a,
-            None => return false,
-        };
-        let r = match Point::decompress(&r_bytes) {
-            Some(r) => r,
-            None => return false,
-        };
-
-        let mut h = Sha512::new();
-        h.update(&r_bytes);
-        h.update(&self.bytes);
-        h.update(msg);
-        let k = Scalar::from_bytes_wide(&h.finalize());
-
-        // Check s·B == R + k·A.
-        let lhs = Point::base().mul_scalar(&s);
-        let rhs = r.add(&a.mul_scalar(&k));
-        lhs.equals(&rhs)
-    }
-}
-
-impl std::fmt::Debug for VerifyingKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VerifyingKey({})", crate::hex::encode(&self.bytes))
-    }
-}
-
-/// A verifying key with its curve point decompressed once up front.
-///
-/// [`VerifyingKey::verify`] re-decompresses the public-key point A on
-/// every call; a verifier that checks many signatures under the same key
-/// (JWKS keys, the SSH user-CA key) pays that cost per signature for no
-/// reason. `PreparedVerifyingKey` hoists the decompression to
-/// construction time. Accept/reject behaviour is byte-for-byte identical
-/// to the unprepared path: a key whose encoding is not a curve point
-/// rejects every signature, exactly as `VerifyingKey::verify` does.
-#[derive(Clone, Debug)]
-pub struct PreparedVerifyingKey {
-    bytes: [u8; 32],
-    /// `None` when the key bytes do not decode to a curve point — such a
-    /// key fails every verification, matching the lazy path.
+    /// `None` when the bytes do not decode to a curve point; such a key
+    /// rejects every signature.
     point: Option<Point>,
 }
 
-impl PreparedVerifyingKey {
-    /// Decompress the key's curve point once, for reuse across verifies.
-    pub fn new(key: &VerifyingKey) -> PreparedVerifyingKey {
-        PreparedVerifyingKey {
-            bytes: key.bytes,
-            point: Point::decompress(&key.bytes),
+impl VerifyingKey {
+    /// Wrap 32 public-key bytes, decompressing the curve point once.
+    pub fn from_bytes(bytes: [u8; 32]) -> VerifyingKey {
+        VerifyingKey {
+            bytes,
+            point: Point::decompress(&bytes),
         }
     }
 
@@ -521,13 +463,7 @@ impl PreparedVerifyingKey {
         &self.bytes
     }
 
-    /// The plain key this was prepared from.
-    pub fn verifying_key(&self) -> VerifyingKey {
-        VerifyingKey { bytes: self.bytes }
-    }
-
-    /// Verify `sig` over `msg`, skipping the per-call decompression of A.
-    /// Same accept/reject behaviour as [`VerifyingKey::verify`].
+    /// Verify `sig` over `msg` (RFC 8032 §5.1.7, cofactorless equation).
     pub fn verify(&self, msg: &[u8], sig: &[u8; 64]) -> bool {
         let a = match &self.point {
             Some(a) => a,
@@ -560,9 +496,23 @@ impl PreparedVerifyingKey {
     }
 }
 
-impl From<&VerifyingKey> for PreparedVerifyingKey {
-    fn from(key: &VerifyingKey) -> PreparedVerifyingKey {
-        PreparedVerifyingKey::new(key)
+impl PartialEq for VerifyingKey {
+    fn eq(&self, other: &VerifyingKey) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for VerifyingKey {}
+
+impl std::hash::Hash for VerifyingKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.bytes.hash(state);
+    }
+}
+
+impl std::fmt::Debug for VerifyingKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "VerifyingKey({})", crate::hex::encode(&self.bytes))
     }
 }
 
@@ -730,31 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn prepared_key_matches_plain_verify() {
-        let sk = SigningKey::from_seed(&[42u8; 32]);
-        let pk = sk.verifying_key();
-        let prepared = PreparedVerifyingKey::new(&pk);
-        assert_eq!(prepared.as_bytes(), pk.as_bytes());
-        assert_eq!(prepared.verifying_key(), pk);
-        let sig = sk.sign(b"cached hot path");
-        assert!(prepared.verify(b"cached hot path", &sig));
-        assert!(!prepared.verify(b"cached hot patH", &sig));
-        let mut bad = sig;
-        bad[0] ^= 1;
-        assert!(!prepared.verify(b"cached hot path", &bad));
-        let mut bad2 = sig;
-        bad2[40] ^= 1;
-        assert!(!prepared.verify(b"cached hot path", &bad2));
-    }
-
-    #[test]
     fn prepared_key_with_invalid_point_rejects_everything() {
-        // all-0xff is not a curve point; both paths must reject.
+        // all-0xff is not a curve point, so the key rejects every signature.
         let bogus = VerifyingKey::from_bytes([0xffu8; 32]);
-        let prepared = PreparedVerifyingKey::new(&bogus);
         let sig = SigningKey::from_seed(&[1u8; 32]).sign(b"msg");
         assert!(!bogus.verify(b"msg", &sig));
-        assert!(!prepared.verify(b"msg", &sig));
     }
 
     #[test]

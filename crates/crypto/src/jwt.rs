@@ -6,7 +6,7 @@
 //! real signature check plus `exp`/`nbf`/`aud`/`iss` claim enforcement.
 
 use crate::base64::{decode_url, encode_url};
-use crate::ed25519::{PreparedVerifyingKey, SigningKey, VerifyingKey};
+use crate::ed25519::{SigningKey, VerifyingKey};
 use crate::hmac::{hmac_sha256, verify_hmac_sha256};
 use crate::json::Value;
 
@@ -168,11 +168,6 @@ pub enum Signer<'a> {
 pub enum Verifier<'a> {
     /// Ed25519 public key.
     Ed25519(&'a VerifyingKey),
-    /// Ed25519 public key with its curve point pre-decompressed — same
-    /// accept/reject behaviour as `Ed25519`, minus the per-call point
-    /// decompression (verification caches prepare keys once per JWKS
-    /// publish).
-    Ed25519Prepared(&'a PreparedVerifyingKey),
     /// HMAC secret.
     Hmac(&'a [u8]),
 }
@@ -231,7 +226,7 @@ pub fn verify(
     let header = Value::parse(header_json).map_err(|_| JwtError::Malformed)?;
     let alg = header.get("alg").and_then(Value::as_str).unwrap_or("");
     let expected_alg = match verifier {
-        Verifier::Ed25519(_) | Verifier::Ed25519Prepared(_) => Algorithm::EdDSA,
+        Verifier::Ed25519(_) => Algorithm::EdDSA,
         Verifier::Hmac(_) => Algorithm::HS256,
     };
     // Pinning the algorithm to the key type forecloses alg-confusion attacks.
@@ -244,14 +239,6 @@ pub fn verify(
     let sig = decode_url(s).map_err(|_| JwtError::Malformed)?;
     let ok = match verifier {
         Verifier::Ed25519(pk) => {
-            if sig.len() != 64 {
-                return Err(JwtError::BadSignature);
-            }
-            let mut sig64 = [0u8; 64];
-            sig64.copy_from_slice(&sig);
-            pk.verify(signing_input.as_bytes(), &sig64)
-        }
-        Verifier::Ed25519Prepared(pk) => {
             if sig.len() != 64 {
                 return Err(JwtError::BadSignature);
             }
@@ -289,10 +276,12 @@ pub fn validate_claims(claims: &Claims, validation: &Validation) -> Result<(), J
     if !validation.audience.is_empty() && claims.audience != validation.audience {
         return Err(JwtError::WrongAudience);
     }
-    if validation.now + validation.leeway < claims.not_before {
+    // Saturating: claim times come from untrusted tokens, and `exp` may be
+    // as large as `u64::MAX`.
+    if validation.now.saturating_add(validation.leeway) < claims.not_before {
         return Err(JwtError::NotYetValid);
     }
-    if validation.now >= claims.expires_at + validation.leeway {
+    if validation.now >= claims.expires_at.saturating_add(validation.leeway) {
         return Err(JwtError::Expired);
     }
     Ok(())
@@ -391,30 +380,21 @@ mod tests {
     }
 
     #[test]
-    fn prepared_verifier_agrees_with_plain() {
-        let sk = SigningKey::from_seed(&[9u8; 32]);
-        let pk = sk.verifying_key();
-        let prepared = PreparedVerifyingKey::new(&pk);
-        let claims = sample_claims(1000);
-        let token = sign(&claims, &Signer::Ed25519(&sk), "k");
-        // Agreement across the full outcome space: ok, expired, wrong
-        // audience, tampered signature.
-        for (tok, now, aud) in [
-            (token.clone(), 1500, ""),
-            (token.clone(), 5000, ""),
-            (token.clone(), 1500, "jupyter"),
-            (format!("{}x", &token[..token.len() - 1]), 1500, ""),
-        ] {
-            let v = Validation {
-                audience: aud.into(),
-                now,
-                ..Default::default()
-            };
-            assert_eq!(
-                verify(&tok, &Verifier::Ed25519(&pk), &v),
-                verify(&tok, &Verifier::Ed25519Prepared(&prepared), &v)
-            );
-        }
+    fn extreme_claim_times_do_not_overflow() {
+        let mut claims = sample_claims(1000);
+        claims.expires_at = u64::MAX;
+        let v = Validation {
+            now: 1500,
+            leeway: 60,
+            ..Default::default()
+        };
+        assert_eq!(validate_claims(&claims, &v), Ok(()));
+        let v = Validation {
+            now: u64::MAX,
+            leeway: 60,
+            ..Default::default()
+        };
+        assert_eq!(validate_claims(&claims, &v), Err(JwtError::Expired));
     }
 
     #[test]

@@ -552,17 +552,16 @@ mod tests {
         };
         let parallel = {
             let b = breakers();
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for w in 0..8 {
                     let b = &b;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for i in (w..32).step_by(8) {
                             drive(b, &format!("user-{i}"));
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
             (states(&b), b.trips())
         };
         assert_eq!(serial, parallel);

@@ -298,17 +298,16 @@ mod tests {
     #[test]
     fn recording_order_does_not_matter_across_threads() {
         let b = std::sync::Arc::new(budgets());
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for worker in 0..8u64 {
                 let b = std::sync::Arc::clone(&b);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..100u64 {
                         b.record("broker", i * 500, (i + worker) % 3 != 0);
                     }
                 });
             }
-        })
-        .expect("threads join");
+        });
         let serial = budgets();
         for worker in 0..8u64 {
             for i in 0..100u64 {

@@ -1,19 +1,18 @@
 //! The SIEM: ingestion, windowed detection rules, alerting and
 //! kill-switch recommendations.
 //!
-//! Ingestion is a bounded MPSC channel: producers on the login hot path
-//! call [`Siem::enqueue`], which is fire-and-forget (a `try_send`, no
-//! detection work, no state lock). Queued events are drained in batches
-//! — one state-lock acquisition per batch instead of per event — either
-//! lazily by any accessor ([`Siem::alerts`], [`Siem::event_count`], …)
-//! or explicitly via [`Siem::flush`], so every read still observes
-//! exactly the events enqueued before it.
+//! Ingestion is a bounded buffer: producers on the login hot path call
+//! [`Siem::enqueue`], which is fire-and-forget (a push under the buffer
+//! lock, no detection work, no state lock). Queued events are drained
+//! in batches — one state-lock acquisition per batch instead of per
+//! event — either lazily by any accessor ([`Siem::alerts`],
+//! [`Siem::event_count`], …) or explicitly via [`Siem::flush`], so
+//! every read still observes exactly the events enqueued before it.
 
 use std::collections::{HashMap, VecDeque};
 
-use crossbeam::channel::{self, TrySendError};
 use dri_clock::{IdGen, SimClock};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::events::{EventKind, SecurityEvent, Severity};
 
@@ -124,23 +123,21 @@ pub struct Siem {
     external_monitor: RwLock<Vec<AlertSink>>,
     /// Per-event observers run at batch-drain time.
     taps: RwLock<Vec<IngestTap>>,
-    ingest_tx: channel::Sender<SecurityEvent>,
-    ingest_rx: channel::Receiver<SecurityEvent>,
+    /// Events queued by [`Siem::enqueue`], at most `INGEST_QUEUE_CAP`.
+    ingest: Mutex<Vec<SecurityEvent>>,
     ids: IdGen,
 }
 
 impl Siem {
     /// Create a SIEM with the given detection thresholds.
     pub fn new(clock: SimClock, config: DetectionConfig) -> Siem {
-        let (ingest_tx, ingest_rx) = channel::bounded(INGEST_QUEUE_CAP);
         Siem {
             clock,
             config,
             state: RwLock::new(SiemState::default()),
             external_monitor: RwLock::new(Vec::new()),
             taps: RwLock::new(Vec::new()),
-            ingest_tx,
-            ingest_rx,
+            ingest: Mutex::new(Vec::new()),
             ids: IdGen::new("alert"),
         }
     }
@@ -156,26 +153,20 @@ impl Siem {
         self.taps.write().push(tap);
     }
 
-    /// Fire-and-forget ingestion: queue the event on the bounded channel
+    /// Fire-and-forget ingestion: queue the event in the bounded buffer
     /// and return immediately — no detection work, no state lock. If the
-    /// queue is full, the caller drains a batch itself (backpressure by
+    /// buffer is full, the caller drains a batch itself (backpressure by
     /// work stealing) and retries; events are never dropped.
     pub fn enqueue(&self, event: SecurityEvent) {
-        let mut event = event;
         loop {
-            match self.ingest_tx.try_send(event) {
-                Ok(()) => return,
-                Err(TrySendError::Full(back)) => {
-                    self.flush();
-                    event = back;
-                }
-                Err(TrySendError::Disconnected(back)) => {
-                    // The receiver lives as long as the SIEM; process
-                    // inline if it is somehow gone.
-                    self.process_batch(vec![back]);
+            {
+                let mut queue = self.ingest.lock();
+                if queue.len() < INGEST_QUEUE_CAP {
+                    queue.push(event);
                     return;
                 }
             }
+            self.flush();
         }
     }
 
@@ -183,7 +174,7 @@ impl Siem {
     /// state under a single lock acquisition. Returns alerts raised by
     /// the drained events.
     pub fn flush(&self) -> Vec<Alert> {
-        let mut batch: Vec<SecurityEvent> = self.ingest_rx.try_iter().collect();
+        let mut batch = std::mem::take(&mut *self.ingest.lock());
         if batch.is_empty() {
             return Vec::new();
         }
@@ -195,7 +186,7 @@ impl Siem {
 
     /// Number of events waiting in the ingest queue.
     pub fn pending(&self) -> usize {
-        self.ingest_rx.len()
+        self.ingest.lock().len()
     }
 
     /// Ingest a batch of events synchronously, running detection on
@@ -573,10 +564,10 @@ mod tests {
         let (siem, clock) = siem();
         clock.advance(1_000);
         let at = clock.now_ms();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..4 {
                 let siem = &siem;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..50 {
                         siem.enqueue(SecurityEvent::new(
                             at + i,
@@ -589,8 +580,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("producer threads");
+        });
         assert_eq!(siem.events_ingested(), 200);
         let events = siem.events_of_kind(EventKind::TokenIssued);
         assert!(events.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));

@@ -7,7 +7,7 @@
 //! format; signatures are real Ed25519 over the exact encoded body.
 
 use dri_crypto::base64;
-use dri_crypto::ed25519::{PreparedVerifyingKey, SigningKey, VerifyingKey};
+use dri_crypto::ed25519::{SigningKey, VerifyingKey};
 
 /// Certificate type: we only model user certificates (host certs would be
 /// the same machinery).
@@ -185,21 +185,21 @@ impl SshCertificate {
         public_key.copy_from_slice(pk);
         let serial = r.u64()?;
         let key_id = r.string()?;
-        let n_principals = r.u64_32()?;
-        let mut principals = Vec::with_capacity(n_principals);
-        for _ in 0..n_principals {
+        // Counts come from untrusted bytes, so the lists grow as entries
+        // parse rather than being pre-allocated: a huge count then fails
+        // as `Malformed` when the body runs out.
+        let mut principals = Vec::new();
+        for _ in 0..r.u64_32()? {
             principals.push(r.string()?);
         }
         let valid_after = r.u64()?;
         let valid_before = r.u64()?;
-        let n_opts = r.u64_32()?;
-        let mut critical_options = Vec::with_capacity(n_opts);
-        for _ in 0..n_opts {
+        let mut critical_options = Vec::new();
+        for _ in 0..r.u64_32()? {
             critical_options.push((r.string()?, r.string()?));
         }
-        let n_ext = r.u64_32()?;
-        let mut extensions = Vec::with_capacity(n_ext);
-        for _ in 0..n_ext {
+        let mut extensions = Vec::new();
+        for _ in 0..r.u64_32()? {
             extensions.push(r.string()?);
         }
         if r.pos != body.len() {
@@ -223,32 +223,6 @@ impl SshCertificate {
     pub fn verify(
         &self,
         ca_key: &VerifyingKey,
-        now_secs: u64,
-        principal: Option<&str>,
-    ) -> Result<(), CertError> {
-        if !ca_key.verify(&self.tbs_bytes(), &self.signature) {
-            return Err(CertError::BadSignature);
-        }
-        if now_secs < self.valid_after {
-            return Err(CertError::NotYetValid);
-        }
-        if now_secs >= self.valid_before {
-            return Err(CertError::Expired);
-        }
-        if let Some(p) = principal {
-            if !self.principals.iter().any(|x| x == p) {
-                return Err(CertError::PrincipalNotAllowed);
-            }
-        }
-        Ok(())
-    }
-
-    /// [`SshCertificate::verify`] against a pre-decompressed CA key:
-    /// same checks, same order, same errors, but the CA point
-    /// decompression is paid once at trust time instead of per login.
-    pub fn verify_prepared(
-        &self,
-        ca_key: &PreparedVerifyingKey,
         now_secs: u64,
         principal: Option<&str>,
     ) -> Result<(), CertError> {
@@ -349,24 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_prepared_agrees_with_verify() {
-        let ca = SigningKey::from_seed(&[1u8; 32]);
-        let rogue = SigningKey::from_seed(&[2u8; 32]);
-        let cert = sample(&ca);
-        for pk in [ca.verifying_key(), rogue.verifying_key()] {
-            let prepared = PreparedVerifyingKey::new(&pk);
-            for now in [999u64, 1000, 5000, 1000 + 8 * 3600] {
-                for principal in [None, Some("u1a2b3c4"), Some("root")] {
-                    assert_eq!(
-                        cert.verify_prepared(&prepared, now, principal),
-                        cert.verify(&pk, now, principal)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn verify_rejects_wrong_ca() {
         let ca = SigningKey::from_seed(&[1u8; 32]);
         let rogue = SigningKey::from_seed(&[2u8; 32]);
@@ -406,5 +362,34 @@ mod tests {
         raw.extend_from_slice(&cert.signature);
         let wire = format!("ssh-ed25519-cert {}", base64::encode_url(&raw));
         assert_eq!(SshCertificate::from_wire(&wire), Err(CertError::Malformed));
+    }
+
+    #[test]
+    fn huge_list_counts_are_malformed_not_an_allocation() {
+        // A minimal body with every list empty parses; with any one of
+        // the principal, option or extension counts set to u32::MAX it
+        // is malformed.
+        let wire = |counts: [u32; 3]| {
+            let mut raw = vec![CERT_TYPE_USER];
+            put_bytes(&mut raw, &[7u8; 32]);
+            raw.extend_from_slice(&42u64.to_be_bytes());
+            put_str(&mut raw, "maid-000001");
+            raw.extend_from_slice(&counts[0].to_be_bytes());
+            raw.extend_from_slice(&1000u64.to_be_bytes());
+            raw.extend_from_slice(&2000u64.to_be_bytes());
+            raw.extend_from_slice(&counts[1].to_be_bytes());
+            raw.extend_from_slice(&counts[2].to_be_bytes());
+            raw.extend_from_slice(&[0u8; 64]);
+            format!("ssh-ed25519-cert {}", base64::encode_url(&raw))
+        };
+        assert!(SshCertificate::from_wire(&wire([0, 0, 0])).is_ok());
+        for field in 0..3 {
+            let mut counts = [0u32; 3];
+            counts[field] = u32::MAX;
+            assert_eq!(
+                SshCertificate::from_wire(&wire(counts)),
+                Err(CertError::Malformed)
+            );
+        }
     }
 }

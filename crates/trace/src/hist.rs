@@ -192,17 +192,16 @@ mod tests {
     #[test]
     fn concurrent_records_all_land() {
         let h = std::sync::Arc::new(LogHistogram::new());
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..8 {
                 let h = h.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..500u64 {
                         h.record(t * 1000 + i);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(h.count(), 4000);
         assert_eq!(h.max(), 7 * 1000 + 499);
     }

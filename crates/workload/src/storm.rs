@@ -3,7 +3,7 @@
 //! §IV-B: "The conference tested the Jupyter notebook user story at
 //! scale, with 45 trainees logging in and running notebooks
 //! simultaneously." The storm runs user story 6 for every member of a
-//! population, either serially or fanned out over crossbeam scoped
+//! population, either serially or fanned out over `std::thread::scope`
 //! threads, and reports completion counts, per-flow protocol steps, and
 //! wall-clock latency quantiles.
 
@@ -99,17 +99,16 @@ pub fn run_storm(
         StormMode::Parallel(threads) => {
             let threads = threads.max(1);
             let chunk_size = users.len().div_ceil(threads).max(1);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (ci, chunk) in users.chunks(chunk_size).enumerate() {
                     let run_one = &run_one;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (i, (label, project)) in chunk.iter().enumerate() {
                             run_one(ci * chunk_size + i, label, project);
                         }
                     });
                 }
-            })
-            .expect("storm threads");
+            });
         }
     }
 

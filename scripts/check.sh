@@ -16,6 +16,9 @@ cargo build --release --offline
 echo "== examples build =="
 cargo build --release --offline --examples
 
+echo "== benchmark build (catches removed public names the benchmark uses) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
