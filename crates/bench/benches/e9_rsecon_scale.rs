@@ -5,13 +5,6 @@
 //! at N=45 (serial + parallel), sweep N, and report throughput + tail
 //! latency. Shape to hold: zero authorisation failures at 45, sub-linear
 //! tail growth with N.
-//!
-//! The sweep also compares the sharded identity hot path against the
-//! coarse-lock baseline (`broker_shards(1)` reinstates the old
-//! one-`RwLock` broker, which held the lock across JWT signing): both
-//! throughputs are printed, and at N ≥ 256 the sharded broker must
-//! clear 2× the coarse baseline (enforced when the host has enough
-//! cores for thread parallelism to exist at all).
 
 use criterion::{BatchSize, BenchmarkId, Criterion, Throughput};
 use dri_core::{InfraConfig, Infrastructure};
@@ -33,37 +26,19 @@ fn storm_users(infra: &Infrastructure, n: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-fn big_config(broker_shards: usize) -> InfraConfig {
+fn big_config() -> InfraConfig {
     InfraConfig::builder()
         .jupyter_capacity(4096)
         .interactive_nodes(4096)
         .edge_threshold(usize::MAX / 2)
-        .broker_shards(broker_shards)
         .build()
         .expect("bench config is valid")
 }
 
-/// One parallel storm with flow tracing toggled; returns flows/s.
-fn storm_throughput(n: usize, workers: usize, tracing: bool) -> f64 {
-    let config = InfraConfig::builder()
-        .jupyter_capacity(4096)
-        .interactive_nodes(4096)
-        .edge_threshold(usize::MAX / 2)
-        .tracing(tracing)
-        .build()
-        .expect("bench config is valid");
-    let infra = Infrastructure::new(config);
-    let users = storm_users(&infra, n);
-    let result = run_storm(&infra, &users, StormMode::Parallel(workers));
-    assert_eq!(result.completed, n, "failures: {:?}", result.failures);
-    result.throughput()
-}
-
 /// One storm at `n` users over `workers` threads against a fresh
-/// infrastructure with `shards` broker shards; returns (flows/s, p50,
-/// p99, steps).
-fn storm_run(n: usize, workers: usize, shards: usize) -> (f64, u64, u64, usize) {
-    let infra = Infrastructure::new(big_config(shards));
+/// infrastructure; returns (flows/s, p50, p99, steps).
+fn storm_run(n: usize, workers: usize) -> (f64, u64, u64, usize) {
+    let infra = Infrastructure::new(big_config());
     let users = storm_users(&infra, n);
     let result = run_storm(&infra, &users, StormMode::Parallel(workers));
     assert_eq!(result.completed, n, "failures: {:?}", result.failures);
@@ -78,50 +53,31 @@ fn storm_run(n: usize, workers: usize, shards: usize) -> (f64, u64, u64, usize) 
 fn print_report() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("== E9: RSECon24 storm (45 concurrent) + sweep ==");
-    println!("coarse = broker_shards(1) (single RwLock held across signing)");
-    println!("sharded = broker_shards(16), 8 workers either way, {cores} core(s)");
-    if cores < 4 {
-        println!(
-            "NOTE: <4 cores — the >=2x sharded-vs-coarse gate needs real \
-             parallelism and is reported but not enforced here"
-        );
-    }
+    println!("8 workers, {cores} core(s)");
     println!();
     println!(
-        "{:>6} {:>6} {:>10} {:>10} {:>12} {:>13} {:>8}",
-        "users", "steps", "p50(µs)", "p99(µs)", "coarse f/s", "sharded f/s", "speedup"
+        "{:>6} {:>6} {:>10} {:>10} {:>12}",
+        "users", "steps", "p50(µs)", "p99(µs)", "flows/s"
     );
     for n in [8usize, 16, 32, 45, 64, 128, 256, 512] {
-        let (coarse_fps, _, _, _) = storm_run(n, 8, 1);
-        let (sharded_fps, p50, p99, steps) = storm_run(n, 8, 16);
-        let speedup = sharded_fps / coarse_fps.max(f64::MIN_POSITIVE);
-        println!(
-            "{:>6} {:>6} {:>10} {:>10} {:>12.0} {:>13.0} {:>7.2}x",
-            n, steps, p50, p99, coarse_fps, sharded_fps, speedup
-        );
-        if n >= 256 && cores >= 4 {
-            assert!(
-                speedup >= 2.0,
-                "sharded broker must clear 2x the coarse baseline at N={n} \
-                 (got {speedup:.2}x: coarse {coarse_fps:.0} f/s, sharded {sharded_fps:.0} f/s)"
-            );
-        }
+        let (fps, p50, p99, steps) = storm_run(n, 8);
+        println!("{n:>6} {steps:>6} {p50:>10} {p99:>10} {fps:>12.0}");
     }
 
-    println!("\n-- worker-count sweep, N=256, sharded broker --");
+    println!("\n-- worker-count sweep, N=256 --");
     println!(
         "{:>8} {:>12} {:>10} {:>10}",
         "workers", "flows/s", "p50(µs)", "p99(µs)"
     );
     for workers in [1usize, 2, 4, 8, 16] {
-        let (fps, p50, p99, _) = storm_run(256, workers, 16);
+        let (fps, p50, p99, _) = storm_run(256, workers);
         println!("{workers:>8} {fps:>12.0} {p50:>10} {p99:>10}");
     }
 
     // Where does a flow spend its time? The tracer's per-stage log2
     // histograms answer in both deterministic sim steps and wall-clock.
-    println!("\n-- per-stage latency attribution, N=45 storm, tracing on --");
-    let infra = Infrastructure::new(big_config(16));
+    println!("\n-- per-stage latency attribution, N=45 storm --");
+    let infra = Infrastructure::new(big_config());
     let users = storm_users(&infra, 45);
     let r = run_storm(&infra, &users, StormMode::Parallel(8));
     assert_eq!(r.completed, 45, "failures: {:?}", r.failures);
@@ -140,32 +96,6 @@ fn print_report() {
             s.wall_us.p99
         );
     }
-
-    // Tracing must be cheap enough to leave on: at N=256 the traced
-    // storm must hold >= 90% of the untraced throughput (best of 3 to
-    // damp scheduler noise; enforced only with real parallelism).
-    println!("\n-- tracing overhead guard, N=256, best of 3 --");
-    let best_of_3 = |tracing: bool| {
-        (0..3)
-            .map(|_| storm_throughput(256, 8, tracing))
-            .fold(0.0f64, f64::max)
-    };
-    let off = best_of_3(false);
-    let on = best_of_3(true);
-    let ratio = on / off.max(f64::MIN_POSITIVE);
-    println!(
-        "tracing off {off:.0} f/s, on {on:.0} f/s ({:.1}% overhead)",
-        (1.0 - ratio) * 100.0
-    );
-    if cores >= 4 {
-        assert!(
-            ratio >= 0.90,
-            "tracing overhead exceeds the 10% budget at N=256 \
-             (on {on:.0} f/s vs off {off:.0} f/s)"
-        );
-    } else {
-        println!("NOTE: <4 cores — overhead budget reported but not enforced");
-    }
 }
 
 fn benches(c: &mut Criterion) {
@@ -176,21 +106,7 @@ fn benches(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("storm_parallel", n), &n, |b, &n| {
             b.iter_batched(
                 || {
-                    let infra = Infrastructure::new(big_config(16));
-                    let users = storm_users(&infra, n);
-                    (infra, users)
-                },
-                |(infra, users)| {
-                    let r = run_storm(&infra, &users, StormMode::Parallel(8));
-                    assert_eq!(r.completed, n);
-                },
-                BatchSize::PerIteration,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("storm_coarse", n), &n, |b, &n| {
-            b.iter_batched(
-                || {
-                    let infra = Infrastructure::new(big_config(1));
+                    let infra = Infrastructure::new(big_config());
                     let users = storm_users(&infra, n);
                     (infra, users)
                 },
@@ -204,7 +120,7 @@ fn benches(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("storm_serial", n), &n, |b, &n| {
             b.iter_batched(
                 || {
-                    let infra = Infrastructure::new(big_config(16));
+                    let infra = Infrastructure::new(big_config());
                     let users = storm_users(&infra, n);
                     (infra, users)
                 },

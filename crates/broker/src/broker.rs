@@ -12,8 +12,7 @@ use dri_crypto::jwt::{self, Claims, Signer, Validation, Verifier};
 use dri_federation::assertion::{Assertion, AssertionError};
 use dri_federation::metadata::{EntityKind, FederationRegistry};
 use dri_federation::types::LevelOfAssurance;
-use dri_sync::{clamp_shards, hash_key, shard_index, ShardMap, ShardSet, Snapshot};
-use parking_lot::RwLock;
+use dri_sync::{hash_key, shard_index, ShardMap, ShardSet, Snapshot};
 
 use crate::authz::AuthorizationSource;
 use crate::managed_idp::ManagedLogin;
@@ -239,18 +238,11 @@ pub struct IdentityBroker {
     key_ids: IdGen,
     faults: dri_fault::FaultHook,
     token_cache: Arc<TokenCache>,
-    /// Present only when `shards == 1`: reproduces the pre-sharding
-    /// design, where one `RwLock<BrokerState>` was held across entire
-    /// operations — including JWT signing inside `issue_token`. Session
-    /// establishment and token issuance take it for write, lookups for
-    /// read, so the coarse baseline benchmarked by E9 serializes exactly
-    /// what the old broker serialized.
-    coarse_gate: Option<RwLock<()>>,
 }
 
 impl IdentityBroker {
-    /// Create a broker with an initial signing key derived from `seed`
-    /// and the default shard count.
+    /// Create a broker with an initial signing key derived from `seed`,
+    /// its maps split into [`DEFAULT_BROKER_SHARDS`] shards.
     pub fn new(
         issuer: impl Into<String>,
         seed: [u8; 32],
@@ -259,32 +251,8 @@ impl IdentityBroker {
         registry: Arc<FederationRegistry>,
         authz: Arc<dyn AuthorizationSource>,
     ) -> IdentityBroker {
-        IdentityBroker::with_shards(
-            issuer,
-            seed,
-            session_ttl_secs,
-            clock,
-            registry,
-            authz,
-            DEFAULT_BROKER_SHARDS,
-        )
-    }
-
-    /// Like [`IdentityBroker::new`] with an explicit shard count
-    /// (rounded to a power of two; `1` reproduces the coarse-lock
-    /// behaviour for baseline comparisons).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_shards(
-        issuer: impl Into<String>,
-        seed: [u8; 32],
-        session_ttl_secs: u64,
-        clock: SimClock,
-        registry: Arc<FederationRegistry>,
-        authz: Arc<dyn AuthorizationSource>,
-        shards: usize,
-    ) -> IdentityBroker {
         let issuer = issuer.into();
-        let shards = clamp_shards(shards);
+        let shards = DEFAULT_BROKER_SHARDS;
         let key_ids = IdGen::new("fds-key");
         let kid = key_ids.next();
         let ring = SignerRing {
@@ -321,7 +289,6 @@ impl IdentityBroker {
             key_ids,
             faults: dri_fault::FaultHook::new(),
             token_cache,
-            coarse_gate: (shards == 1).then(|| RwLock::new(())),
         }
     }
 
@@ -329,14 +296,6 @@ impl IdentityBroker {
     /// login and token issuance fail with [`BrokerError::Unavailable`].
     pub fn install_fault_plane(&self, plane: Arc<dri_fault::FaultPlane>) {
         self.faults.install(plane);
-    }
-
-    fn coarse_write(&self) -> Option<parking_lot::RwLockWriteGuard<'_, ()>> {
-        self.coarse_gate.as_ref().map(|g| g.write())
-    }
-
-    fn coarse_read(&self) -> Option<parking_lot::RwLockReadGuard<'_, ()>> {
-        self.coarse_gate.as_ref().map(|g| g.read())
     }
 
     /// Register (or replace) a per-audience token policy.
@@ -460,7 +419,6 @@ impl IdentityBroker {
         loa: LevelOfAssurance,
     ) -> Result<SessionInfo, BrokerError> {
         let _span = dri_trace::span("broker.establish", dri_trace::Stage::Broker);
-        let _coarse = self.coarse_write();
         if self.revoked_subjects.contains(&subject) {
             return Err(BrokerError::SubjectRevoked);
         }
@@ -509,7 +467,6 @@ impl IdentityBroker {
         self.faults
             .check("broker")
             .map_err(|_| BrokerError::Unavailable)?;
-        let _coarse = self.coarse_write();
         let now = self.clock.now_secs();
         let session = self
             .sessions
@@ -658,7 +615,6 @@ impl IdentityBroker {
     /// and not revoked)? Services enforcing per-session access call this
     /// in addition to local JWKS validation.
     pub fn introspect(&self, jti: &str) -> bool {
-        let _coarse = self.coarse_read();
         if self.revoked_tokens.contains(jti) {
             return false;
         }
@@ -706,7 +662,6 @@ impl IdentityBroker {
 
     /// Look up a live session.
     pub fn session(&self, session_id: &str) -> Option<SessionInfo> {
-        let _coarse = self.coarse_read();
         self.sessions.get_cloned(session_id)
     }
 
@@ -715,7 +670,6 @@ impl IdentityBroker {
     /// [`IdentityBroker::revoke_subject`] wipes them, e.g. to attach
     /// the originating login's trace id to the kill-switch event.
     pub fn sessions_of_subject(&self, subject: &str) -> Vec<SessionInfo> {
-        let _coarse = self.coarse_read();
         let mut out = Vec::new();
         self.sessions.for_each(|_, s| {
             if s.subject == subject {
@@ -742,11 +696,6 @@ impl IdentityBroker {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Number of shards backing each concurrent map.
-    pub fn shard_count(&self) -> usize {
-        self.tokens_issued.len()
     }
 
     /// The shared verified-token cache (seeded at issuance, consulted by
@@ -833,6 +782,12 @@ mod tests {
             assertion_id: format!("a-{cuid}-{now}"),
         }
         .sign(&f.proxy_key)
+    }
+
+    #[test]
+    fn per_shard_counters_use_the_default_shard_count() {
+        let f = fixture();
+        assert_eq!(f.broker.shard_token_counts().len(), DEFAULT_BROKER_SHARDS);
     }
 
     #[test]

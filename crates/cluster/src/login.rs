@@ -103,24 +103,12 @@ impl LoginNode {
         clock: SimClock,
         rng: SimRng,
     ) -> LoginNode {
-        LoginNode::with_shards(host_id, ca_key, clock, rng, DEFAULT_LOGIN_SHARDS)
-    }
-
-    /// Create a login node with an explicit shard count (1 reproduces a
-    /// single coarse lock).
-    pub fn with_shards(
-        host_id: impl Into<String>,
-        ca_key: VerifyingKey,
-        clock: SimClock,
-        rng: SimRng,
-        shards: usize,
-    ) -> LoginNode {
         LoginNode {
             host_id: host_id.into(),
             clock,
             ca_key: Snapshot::new(ca_key),
-            accounts: ShardMap::new(shards),
-            sessions: ShardMap::new(shards),
+            accounts: ShardMap::new(DEFAULT_LOGIN_SHARDS),
+            sessions: ShardMap::new(DEFAULT_LOGIN_SHARDS),
             rng: Mutex::new(rng),
             ids: IdGen::new("shell"),
             draining: AtomicBool::new(false),

@@ -7,12 +7,6 @@ use dri_siem::DetectionConfig;
 pub enum ConfigError {
     /// A field that must be at least 1 was zero.
     MustBeNonZero(&'static str),
-    /// `broker_shards` outside the supported `1..=1024` range.
-    ShardsOutOfRange(usize),
-    /// `broker_shards` must be a power of two so the subject-hash
-    /// routing is a mask, and so `shard_count()` reports exactly what
-    /// was requested (the shard maps round up otherwise).
-    ShardsNotPowerOfTwo(usize),
     /// The edge window must be long enough to score rates at all.
     WindowTooShort(u64),
     /// The error-budget window must be long enough to accumulate
@@ -27,12 +21,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::MustBeNonZero(field) => write!(f, "{field} must be at least 1"),
-            ConfigError::ShardsOutOfRange(n) => {
-                write!(f, "broker_shards {n} outside 1..=1024")
-            }
-            ConfigError::ShardsNotPowerOfTwo(n) => {
-                write!(f, "broker_shards {n} is not a power of two")
-            }
             ConfigError::WindowTooShort(ms) => {
                 write!(f, "edge_window_ms {ms} too short (minimum 10ms)")
             }
@@ -79,15 +67,8 @@ pub struct InfraConfig {
     pub edge_window_ms: u64,
     /// Edge requests-per-window threshold per source.
     pub edge_threshold: usize,
-    /// Shards for the broker's session/token maps (rounded to a power of
-    /// two; 1 reproduces a single coarse lock).
-    pub broker_shards: usize,
     /// SIEM detection thresholds.
     pub detection: DetectionConfig,
-    /// Enable flow tracing (trace-id minting, span collection, per-stage
-    /// latency histograms). On in the paper's deployment; E9 toggles it
-    /// off to measure the tracing overhead.
-    pub tracing: bool,
     /// Enable the verification caches (verified-token cache and PDP
     /// decision memo). On in the paper's deployment; the login-storm
     /// benchmark toggles it off for the cold baseline. Off, every
@@ -97,11 +78,6 @@ pub struct InfraConfig {
     /// Enable the in-progress HPC-fabric / parallel-FS encryption the
     /// paper lists as future work (§V). Off in the paper's deployment.
     pub hpc_fabric_encryption: bool,
-    /// Optional deterministic fault plan, installed across every
-    /// instrumented hop at assembly time (chaos days and the resilience
-    /// experiments). `None` leaves the fault plane uninstalled — the
-    /// hooks cost one relaxed load per hop.
-    pub fault_plan: Option<dri_fault::FaultPlan>,
     /// Error-budget accounting window (simulated ms). Budgets divide
     /// sim time into windows of this width per dependency.
     pub budget_window_ms: u64,
@@ -126,12 +102,9 @@ impl Default for InfraConfig {
             interactive_nodes: 64,
             edge_window_ms: 1_000,
             edge_threshold: 50,
-            broker_shards: 16,
             detection: DetectionConfig::default(),
-            tracing: true,
             verification_cache: true,
             hpc_fabric_encryption: false,
-            fault_plan: None,
             budget_window_ms: 60_000,
             budget_slo_per_mille: 900,
         }
@@ -187,12 +160,6 @@ impl InfraConfigBuilder {
         self
     }
 
-    /// Set the broker shard count (1 = coarse-lock baseline).
-    pub fn broker_shards(mut self, shards: usize) -> Self {
-        self.cfg.broker_shards = shards;
-        self
-    }
-
     /// Toggle the verification caches (the login-storm benchmark's cold
     /// baseline turns them off).
     pub fn verification_cache(mut self, enabled: bool) -> Self {
@@ -200,21 +167,9 @@ impl InfraConfigBuilder {
         self
     }
 
-    /// Toggle flow tracing (E9's overhead experiment turns it off).
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.cfg.tracing = enabled;
-        self
-    }
-
     /// Toggle the future-work HPC-fabric encryption.
     pub fn hpc_fabric_encryption(mut self, enabled: bool) -> Self {
         self.cfg.hpc_fabric_encryption = enabled;
-        self
-    }
-
-    /// Install a deterministic fault plan at assembly time (chaos days).
-    pub fn fault_plan(mut self, plan: dri_fault::FaultPlan) -> Self {
-        self.cfg.fault_plan = Some(plan);
         self
     }
 
@@ -241,12 +196,6 @@ impl InfraConfigBuilder {
         }
         if cfg.edge_threshold == 0 {
             return Err(ConfigError::MustBeNonZero("edge_threshold"));
-        }
-        if cfg.broker_shards == 0 || cfg.broker_shards > 1024 {
-            return Err(ConfigError::ShardsOutOfRange(cfg.broker_shards));
-        }
-        if !cfg.broker_shards.is_power_of_two() {
-            return Err(ConfigError::ShardsNotPowerOfTwo(cfg.broker_shards));
         }
         if cfg.edge_window_ms < 10 {
             return Err(ConfigError::WindowTooShort(cfg.edge_window_ms));
@@ -278,7 +227,6 @@ mod tests {
     fn builder_defaults_build_cleanly() {
         let c = InfraConfig::builder().build().unwrap();
         assert_eq!(c.seed, InfraConfig::default().seed);
-        assert_eq!(c.broker_shards, 16);
     }
 
     #[test]
@@ -288,16 +236,12 @@ mod tests {
             .jupyter_capacity(4096)
             .interactive_nodes(4096)
             .edge_threshold(usize::MAX / 2)
-            .broker_shards(1)
-            .tracing(false)
             .hpc_fabric_encryption(true)
             .build()
             .unwrap();
         assert_eq!(c.seed, 7);
         assert_eq!(c.jupyter_capacity, 4096);
         assert_eq!(c.interactive_nodes, 4096);
-        assert_eq!(c.broker_shards, 1);
-        assert!(!c.tracing);
         assert!(c.hpc_fabric_encryption);
     }
 
@@ -323,17 +267,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::MustBeNonZero("edge_threshold")
-        );
-        assert_eq!(
-            InfraConfig::builder()
-                .broker_shards(2048)
-                .build()
-                .unwrap_err(),
-            ConfigError::ShardsOutOfRange(2048)
-        );
-        assert_eq!(
-            InfraConfig::builder().broker_shards(3).build().unwrap_err(),
-            ConfigError::ShardsNotPowerOfTwo(3)
         );
         assert_eq!(
             InfraConfig::builder()

@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_broker::authz::AuthorizationSource;
-use dri_broker::broker::{IdentityBroker, IdentitySource, SessionInfo, TokenPolicy};
+use dri_broker::broker::{
+    IdentityBroker, IdentitySource, SessionInfo, TokenPolicy, DEFAULT_BROKER_SHARDS,
+};
 use dri_broker::managed_idp::{HardwareKey, ManagedIdp};
 use dri_broker::oidc::{OidcClient, OidcProvider};
 use dri_clock::{SimClock, SimRng};
@@ -134,10 +136,9 @@ impl Infrastructure {
         // exports.
         let tracer = Arc::new(Tracer::new(
             rng.next_u64(),
-            config.broker_shards,
+            DEFAULT_BROKER_SHARDS,
             clock.clone(),
         ));
-        tracer.set_enabled(config.tracing);
         let wall_epoch = std::time::Instant::now();
         tracer.install_wall_clock(Arc::new(move || wall_epoch.elapsed().as_micros() as u64));
 
@@ -193,14 +194,13 @@ impl Infrastructure {
             MEMBER_AUDIENCES.iter().map(|s| s.to_string()).collect(),
         ));
         let authz: Arc<dyn AuthorizationSource> = portal.clone();
-        let broker = Arc::new(IdentityBroker::with_shards(
+        let broker = Arc::new(IdentityBroker::new(
             BROKER_ENTITY,
             rng.seed32(),
             config.session_ttl_secs,
             clock.clone(),
             registry.clone(),
             authz,
-            config.broker_shards,
         ));
         broker.register_service(TokenPolicy::standard("ssh-ca", config.ssh_token_ttl_secs));
         broker.register_service(TokenPolicy::standard(
@@ -289,12 +289,11 @@ impl Infrastructure {
         scheduler.add_partition("gh", config.compute_nodes, config.compute_nodes);
         scheduler.add_partition("interactive", config.interactive_nodes, 1);
 
-        let login_node = Arc::new(LoginNode::with_shards(
+        let login_node = Arc::new(LoginNode::new(
             "mdc/login01",
             ssh_ca.public_key(),
             clock.clone(),
             rng.split(),
-            config.broker_shards,
         ));
 
         let broker_for_jupyter = broker.clone();
@@ -416,7 +415,6 @@ impl Infrastructure {
         }
 
         let verification_cache = config.verification_cache;
-        let pdp_shards = config.broker_shards;
         let infra = Infrastructure {
             config,
             clock,
@@ -445,7 +443,7 @@ impl Infrastructure {
             inventory,
             anomaly,
             rate_anomalies,
-            pdp: MemoizedPdp::new(PolicyDecisionPoint::default(), pdp_shards),
+            pdp: MemoizedPdp::new(PolicyDecisionPoint::default(), DEFAULT_BROKER_SHARDS),
             resilience,
             users: RwLock::new(HashMap::new()),
             mgmt_node,
@@ -459,9 +457,6 @@ impl Infrastructure {
             infra.pdp.set_enabled(false);
         }
         infra.bootstrap_operations_admin();
-        if let Some(plan) = infra.config.fault_plan.clone() {
-            infra.install_fault_plan(plan);
-        }
         infra
     }
 

@@ -27,12 +27,15 @@
 //! use dri_core::prelude::*;
 //!
 //! let config = InfraConfig::builder()
-//!     .broker_shards(32)      // power-of-two shard count
 //!     .jupyter_capacity(512)
 //!     .build()
 //!     .unwrap();
 //! let infra = Infrastructure::new(config);
-//! assert_eq!(infra.broker.shard_count(), 32);
+//! assert_eq!(infra.config.jupyter_capacity, 512);
+//! assert_eq!(
+//!     InfraConfig::builder().jupyter_capacity(0).build().unwrap_err(),
+//!     ConfigError::MustBeNonZero("jupyter_capacity"),
+//! );
 //! ```
 //!
 //! Key entry points:

@@ -213,17 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn tracing_off_yields_no_stage_latencies() {
-        let cfg = InfraConfig::builder().tracing(false).build().unwrap();
-        let infra = Infrastructure::new(cfg);
-        infra.create_federated_user("alice", "pw");
-        infra.story1_onboard_pi("p", "alice", 10.0).unwrap();
-        let m = infra.metrics();
-        assert_eq!(m.traces_recorded, 0);
-        assert!(m.stage_latencies.is_empty());
-    }
-
-    #[test]
     fn kill_switch_reflected_in_metrics() {
         let infra = Infrastructure::new(InfraConfig::default());
         infra.create_federated_user("alice", "pw");

@@ -4,7 +4,7 @@
 //! use dri_core::prelude::*;
 //!
 //! let infra = Infrastructure::new(
-//!     InfraConfig::builder().broker_shards(4).build().unwrap(),
+//!     InfraConfig::builder().jupyter_capacity(16).build().unwrap(),
 //! );
 //! infra.create_federated_user("alice", "pw");
 //! let pi: PiOutcome = infra.story1_onboard_pi("climate-llm", "alice", 10.0).unwrap();

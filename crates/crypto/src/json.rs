@@ -375,45 +375,68 @@ impl<'a> Parser<'a> {
         String::from_utf8(out).map_err(|_| JsonError::BadUtf8)
     }
 
+    /// Exactly four hex digits (no sign, unlike `from_str_radix`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(JsonError::Eof);
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or(JsonError::Eof)?;
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or(JsonError::BadEscape(self.pos))?;
+            v = v * 16 + d;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError::BadUtf8)?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| JsonError::BadEscape(self.pos))?;
         self.pos += 4;
         Ok(v)
     }
 
+    /// RFC 8259 `number`: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`,
+    /// and finite once converted.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
+        let bad = JsonError::BadNumber(start);
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad);
             }
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad);
             }
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| JsonError::BadUtf8)?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| JsonError::BadNumber(start))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            _ => Err(bad),
+        }
+    }
+
+    /// Consume a run of ASCII digits and return its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -490,6 +513,15 @@ mod tests {
         assert!(Value::parse("nul").is_err());
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("").is_err());
+        // \u takes exactly four hex digits; a sign is not one.
+        assert!(Value::parse("\"\\u+041\"").is_err());
+        // RFC 8259 numbers: no bare trailing point, no leading zero, no
+        // value that overflows to infinity.
+        for text in ["1.", "01", "-01", "1e", "1e+", ".5", "-", "-1e999"] {
+            assert!(Value::parse(text).is_err(), "{text} is not JSON");
+        }
+        assert_eq!(Value::parse("1e999"), Err(JsonError::BadNumber(0)));
+        assert_eq!(Value::parse("-0.5e-1"), Ok(Value::Num(-0.05)));
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn run(seed: u64, fail_per_mille: u16, workers: usize) -> (Vec<&'static str>, u6
     let clock = SimClock::new();
     clock.set(10);
     let tracer = Arc::new(Tracer::new(seed, 16, clock.clone()));
-    tracer.set_enabled(true);
     let plan = FaultPlan::new(seed).flaky("idp", fail_per_mille, 0, 1_000_000);
     let plane = FaultPlane::new(plan, clock.clone());
     let breakers = CircuitBreakers::new(BreakerConfig::default());

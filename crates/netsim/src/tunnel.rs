@@ -37,44 +37,49 @@ impl HttpRequest {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Wire form: the path, a header count, then each header's name
+    /// and value, every field prefixed by its big-endian `u64` length;
+    /// the body is whatever follows. With no delimiter bytes, any byte
+    /// may appear in any field and decoding returns exactly the request
+    /// that was encoded.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(self.path.as_bytes());
-        out.push(0);
-        for (k, v) in &self.headers {
-            out.extend_from_slice(k.as_bytes());
-            out.push(1);
-            out.extend_from_slice(v.as_bytes());
-            out.push(2);
+        fn field(out: &mut Vec<u8>, bytes: &[u8]) {
+            out.extend_from_slice(&(bytes.len() as u64).to_be_bytes());
+            out.extend_from_slice(bytes);
         }
-        out.push(0);
+        let mut out = Vec::new();
+        field(&mut out, self.path.as_bytes());
+        out.extend_from_slice(&(self.headers.len() as u64).to_be_bytes());
+        for (k, v) in &self.headers {
+            field(&mut out, k.as_bytes());
+            field(&mut out, v.as_bytes());
+        }
         out.extend_from_slice(&self.body);
         out
     }
 
-    fn from_bytes(data: &[u8]) -> Option<HttpRequest> {
-        let mut parts = data.splitn(2, |b| *b == 0);
-        let path = String::from_utf8(parts.next()?.to_vec()).ok()?;
-        let rest = parts.next()?;
+    fn from_bytes(mut data: &[u8]) -> Option<HttpRequest> {
+        fn len(data: &mut &[u8]) -> Option<usize> {
+            let (n, rest) = data.split_first_chunk::<8>()?;
+            *data = rest;
+            usize::try_from(u64::from_be_bytes(*n)).ok()
+        }
+        fn text(data: &mut &[u8]) -> Option<String> {
+            let n = len(data)?;
+            let bytes = data.get(..n)?;
+            *data = &data[n..];
+            String::from_utf8(bytes.to_vec()).ok()
+        }
+        let path = text(&mut data)?;
+        // Grown per decoded header, never pre-sized from the count.
         let mut headers = Vec::new();
-        let mut pos = 0;
-        while pos < rest.len() && rest[pos] != 0 {
-            let kend = rest[pos..].iter().position(|b| *b == 1)? + pos;
-            let vend = rest[kend..].iter().position(|b| *b == 2)? + kend;
-            headers.push((
-                String::from_utf8(rest[pos..kend].to_vec()).ok()?,
-                String::from_utf8(rest[kend + 1..vend].to_vec()).ok()?,
-            ));
-            pos = vend + 1;
+        for _ in 0..len(&mut data)? {
+            headers.push((text(&mut data)?, text(&mut data)?));
         }
-        if pos >= rest.len() {
-            return None;
-        }
-        let body = rest[pos + 1..].to_vec();
         Some(HttpRequest {
             path,
             headers,
-            body,
+            body: data.to_vec(),
         })
     }
 }
@@ -471,5 +476,22 @@ mod tests {
         };
         let encoded = req.to_bytes();
         assert_eq!(HttpRequest::from_bytes(&encoded), Some(req));
+        // Field bytes that a delimiter-based codec would treat as
+        // separators: a header value smuggling a second header, and a
+        // NUL in the path.
+        for req in [
+            HttpRequest {
+                path: "/jupyter".into(),
+                headers: vec![("x-a".into(), "v\u{2}x-auth-token\u{1}forged".into())],
+                body: vec![],
+            },
+            HttpRequest {
+                path: "/jupyter\u{0}x-auth-token\u{1}forged\u{2}".into(),
+                headers: vec![("host".into(), "example.com".into())],
+                body: b"b".to_vec(),
+            },
+        ] {
+            assert_eq!(HttpRequest::from_bytes(&req.to_bytes()), Some(req));
+        }
     }
 }

@@ -105,9 +105,7 @@ mod tests {
     }
 
     fn tracer() -> Arc<Tracer> {
-        let t = Arc::new(Tracer::new(7, 4, dri_clock::SimClock::new()));
-        t.set_enabled(true);
-        t
+        Arc::new(Tracer::new(7, 4, dri_clock::SimClock::new()))
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl SshCa {
         *self.ca_key.write() = SigningKey::from_seed(&seed);
     }
 
-    /// Change certificate TTL (E12 sweeps this).
-    pub fn set_cert_ttl(&mut self, ttl_secs: u64) {
-        self.cert_ttl_secs = ttl_secs;
-    }
-
     /// Sign a user's SSH public key after validating their `ssh-ca` token.
     pub fn sign_request(
         &self,

@@ -240,7 +240,6 @@ mod tests {
 
     fn sample_spans() -> Vec<SpanRecord> {
         let t = Arc::new(Tracer::new(42, 4, SimClock::new()));
-        t.set_enabled(true);
         {
             let _f = flow(&t, "alice", "login", Stage::Flow);
             {
@@ -270,7 +269,6 @@ mod tests {
     #[test]
     fn racy_attr_prefixes_are_excluded_from_chrome_export() {
         let t = Arc::new(Tracer::new(42, 4, SimClock::new()));
-        t.set_enabled(true);
         {
             let _f = flow(&t, "alice", "login", Stage::Flow);
             let _a = span("broker.establish", Stage::Broker);

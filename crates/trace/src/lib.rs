@@ -16,8 +16,8 @@
 //! * **Signature-neutral.** Context propagates through a thread-local
 //!   flow frame: orchestration code opens a [`flow`], substrate crates
 //!   sprinkle [`span`]/[`span_with`] at hop points, and nothing changes
-//!   its function signatures. Outside a flow (unit tests, disabled
-//!   tracing) every call is a cheap no-op.
+//!   its function signatures. Outside a flow (unit tests) every call
+//!   is a cheap no-op.
 //! * **Allocation-light.** Spans buffer in the flow frame and flush
 //!   into a [`dri_sync::ShardMap`]-backed collector once per flow;
 //!   stage latency lands in lock-free log2 histograms.

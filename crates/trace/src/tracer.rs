@@ -18,7 +18,7 @@
 //!   so determinism is preserved.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_clock::SimClock;
@@ -165,7 +165,6 @@ struct StagePair {
 /// flows land in a [`ShardMap`] keyed by trace id, and stage histograms
 /// are plain atomics.
 pub struct Tracer {
-    enabled: AtomicBool,
     seed: u64,
     /// Per-flow-key mint sequence, so the N-th login of one subject has
     /// a stable trace id regardless of what other subjects are doing.
@@ -189,12 +188,10 @@ pub struct Tracer {
 impl Tracer {
     /// A tracer minting ids under `seed`, with `shards` collector
     /// shards (rounded to a power of two), stamping simulated time from
-    /// `clock`. Starts **disabled**; flows are no-ops until
-    /// [`set_enabled`](Tracer::set_enabled).
+    /// `clock`.
     pub fn new(seed: u64, shards: usize, clock: SimClock) -> Tracer {
         let n = dri_sync::clamp_shards(shards);
         Tracer {
-            enabled: AtomicBool::new(false),
             seed,
             seqs: ShardMap::new(n),
             minted: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -211,17 +208,6 @@ impl Tracer {
             tail_retained: AtomicU64::new(0),
             tail_sampled_out: AtomicU64::new(0),
         }
-    }
-
-    /// Turn collection on or off. When off, [`flow`] hands out no-op
-    /// guards and the per-span cost is one relaxed atomic load.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Release);
-    }
-
-    /// Whether collection is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
     }
 
     /// Install the wall-clock-microseconds source. The tracer itself
@@ -376,7 +362,6 @@ impl Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("enabled", &self.enabled())
             .field("traces", &self.trace_count())
             .field("spans", &self.span_count())
             .finish()
@@ -468,14 +453,8 @@ thread_local! {
 /// The returned guard owns the root span; child [`span`]s opened while
 /// it lives attach automatically. If a flow for the **same tracer** is
 /// already active on this thread, a nested child span is opened instead
-/// of a second root (stories call each other). Disabled tracers hand
-/// out no-op guards.
+/// of a second root (stories call each other).
 pub fn flow(tracer: &Arc<Tracer>, key: &str, name: &'static str, stage: Stage) -> FlowGuard {
-    if !tracer.enabled() {
-        return FlowGuard {
-            mode: FlowMode::Noop,
-        };
-    }
     ACTIVE.with(|cell| {
         let mut frames = cell.borrow_mut();
         if let Some(top) = frames.last_mut() {
@@ -561,7 +540,6 @@ pub fn active() -> bool {
 }
 
 enum FlowMode {
-    Noop,
     Child,
     Root,
 }
@@ -576,7 +554,6 @@ pub struct FlowGuard {
 impl Drop for FlowGuard {
     fn drop(&mut self) {
         match self.mode {
-            FlowMode::Noop => {}
             FlowMode::Child => close_innermost(),
             FlowMode::Root => {
                 ACTIVE.with(|cell| {
@@ -628,21 +605,7 @@ mod tests {
     use super::*;
 
     fn test_tracer() -> Arc<Tracer> {
-        let t = Arc::new(Tracer::new(42, 4, SimClock::new()));
-        t.set_enabled(true);
-        t
-    }
-
-    #[test]
-    fn disabled_tracer_collects_nothing() {
-        let t = Arc::new(Tracer::new(42, 4, SimClock::new()));
-        {
-            let _f = flow(&t, "alice", "login", Stage::Flow);
-            let _s = span("broker.establish", Stage::Broker);
-            assert!(current_trace_id().is_none());
-        }
-        assert_eq!(t.trace_count(), 0);
-        assert_eq!(t.minted_count(), 0);
+        Arc::new(Tracer::new(42, 4, SimClock::new()))
     }
 
     #[test]

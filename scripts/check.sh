@@ -19,6 +19,19 @@ cargo build --release --offline --examples
 echo "== benchmark build (catches removed public names the benchmark uses) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark smoke run (every workload's flow checks pass) =="
+for workload in notebook_storm login_ssh revocation_churn; do
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"correct": true,'*'"failed": 0,'*) echo "$workload: correct, 0 failed" ;;
+        *)
+            echo "$workload: benchmark checks failed: $last" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 

@@ -104,38 +104,6 @@ fn per_shard_counters_match_serial_run_exactly() {
 }
 
 #[test]
-fn coarse_baseline_matches_sharded_results() {
-    // broker_shards(1) is the coarse-lock baseline the E9 bench compares
-    // against. It must produce the same outcome, just slower: the shard
-    // count is a pure performance knob.
-    let config = InfraConfig::builder()
-        .seed(7)
-        .jupyter_capacity(4096)
-        .interactive_nodes(4096)
-        .edge_threshold(usize::MAX / 2)
-        .broker_shards(1)
-        .build()
-        .unwrap();
-    let infra = Infrastructure::new(config);
-    assert_eq!(infra.broker.shard_count(), 1);
-    let pop = build_population(&infra, 4, 7).unwrap();
-    let users: Vec<(String, String)> = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
-    let result = run_storm(&infra, &users, StormMode::Parallel(8));
-    assert_eq!(result.completed, 32, "failures: {:?}", result.failures);
-    assert_eq!(infra.broker.shard_token_counts().len(), 1);
-}
-
-#[test]
 fn kill_user_severs_sessions_spanning_shards() {
     let (infra, users) = storm_setup(42);
     run_storm(&infra, &users, StormMode::Parallel(8));

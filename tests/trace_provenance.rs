@@ -128,21 +128,6 @@ fn traceparent_header_crosses_the_http_hop() {
     }
 }
 
-#[test]
-fn disabled_tracing_records_nothing() {
-    let config = InfraConfig::builder()
-        .seed(9)
-        .tracing(false)
-        .build()
-        .unwrap();
-    let infra = Infrastructure::new(config);
-    infra.create_federated_user("alice", "pw");
-    infra.story1_onboard_pi("p", "alice", 10.0).unwrap();
-    assert_eq!(infra.tracer.span_count(), 0);
-    assert_eq!(infra.tracer.trace_count(), 0);
-    assert!(infra.tracer.stage_summaries().is_empty());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
